@@ -14,8 +14,8 @@ cargo clippy --workspace --offline -- -D warnings
 echo "==> cargo doc -p dista-obs -p dista-taintmap -p dista-core -p dista-simnet -p dista-jre -p dista-netty --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc -p dista-obs -p dista-taintmap -p dista-core -p dista-simnet -p dista-jre -p dista-netty --no-deps --offline
 
-echo "==> cargo test -q"
-cargo test -q --offline
+echo "==> cargo test -q --workspace"
+cargo test -q --offline --workspace
 
 echo "==> codec conformance + adversarial decode suites"
 cargo test -q --offline -p dista-jre --test prop_codec

@@ -11,9 +11,10 @@
 //!   time.
 //! * `concurrent_clients` — the scaling comparison: several client
 //!   threads register and resolve many distinct taints against (a) a
-//!   single server over the **unbatched** single-item protocol (the
-//!   measured baseline: one `REGISTER`/`LOOKUP` frame per item, the
-//!   paper's deployment), (b) a single server with **batched** frames,
+//!   single server **unbatched** (the measured baseline: batch size 1
+//!   on the same `REGISTER_BATCH_E`/`LOOKUP_BATCH_E` ops, one frame per
+//!   item as in the paper's deployment), (b) a single server with
+//!   **batched** frames,
 //!   and (c) a **4-shard** deployment with batched frames. The throttle
 //!   is charged per frame, so batching amortizes it and sharding
 //!   parallelizes what remains — batched+sharded must beat the

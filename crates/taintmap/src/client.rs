@@ -8,13 +8,17 @@
 //!   lookups to `(gid - 1) % shards`. Both are deterministic, so every
 //!   VM agrees on which shard owns which taint and per-shard dedup is
 //!   global dedup.
-//! * **Batching** — [`TaintMapClient::global_ids_for`] /
+//! * **Batching** — every request is one epoch-stamped batch frame per
+//!   destination: [`TaintMapClient::global_ids_for`] /
 //!   [`TaintMapClient::taints_for`] resolve all cache-missing items in
-//!   one `REGISTER_BATCH`/`LOOKUP_BATCH` frame per shard instead of one
-//!   RPC per item.
-//! * **Pipelining** — when a batch spans shards, the client writes every
-//!   shard's request frame before reading any response, so the shards
-//!   serve the batch concurrently over the kept-open connections.
+//!   one `REGISTER_BATCH_E`/`LOOKUP_BATCH_E` frame per shard, and the
+//!   single-item [`TaintMapClient::global_id_for`] /
+//!   [`TaintMapClient::taint_for`] are batches of one.
+//! * **One transport** — register, lookup and the `EPOCH_OF` table
+//!   refetch all go through the same locked send/receive path. When a
+//!   batch spans shards, the client writes every shard's request frame
+//!   before reading any response, so the shards serve the batch
+//!   concurrently over the kept-open connections.
 //! * **Single-flight** — concurrent encoders that miss the cache on the
 //!   same taint elect one requester; the rest wait for its result
 //!   instead of duplicating the in-flight registration.
@@ -27,7 +31,8 @@
 //!   them, to be reconciled after the partition heals
 //!   ([`TaintMapClient::reconcile_pending`]).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,9 +48,8 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::error::TaintMapError;
 use crate::proto::{
     decode_class_table, decode_lookup_batch_resp, decode_register_batch_resp, decode_stale_epoch,
-    encode_lookup_batch, encode_register_batch, read_frame_deadline, stamp_epoch, write_frame,
-    OP_EPOCH_OF, OP_LOOKUP, OP_LOOKUP_BATCH_E, OP_REGISTER, OP_REGISTER_BATCH_E, RESP_MOVED,
-    RESP_OK, RESP_STALE_EPOCH,
+    encode_lookup_batch, encode_register_batch, read_frame_deadline, write_frame, OP_EPOCH_OF,
+    OP_LOOKUP_BATCH_E, OP_REGISTER_BATCH_E, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH,
 };
 use crate::shard::{shard_of_bytes, shard_of_gid, ClassTable, TaintMapTopology};
 
@@ -57,8 +61,9 @@ const RESHARD_ROUNDS: usize = 10;
 /// Client-side RPC counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClientStats {
-    /// Register items actually sent over the wire (cache misses),
-    /// whether individually or inside a batch frame.
+    /// Register items actually sent over the wire (cache misses). Every
+    /// item travels inside a batch frame; a single-item call is a batch
+    /// of one.
     pub register_rpcs: u64,
     /// Lookup items actually sent over the wire (cache misses).
     pub lookup_rpcs: u64,
@@ -66,7 +71,10 @@ pub struct ClientStats {
     pub cache_hits: u64,
     /// Times the client failed over to another service address.
     pub failovers: u64,
-    /// Batch frames sent (a multi-shard batch counts once per shard).
+    /// Request frames sent: one per destination per round, whether it
+    /// carries one item or many (a multi-shard batch counts once per
+    /// shard), plus one per `EPOCH_OF` table refetch. Transport retries
+    /// of a frame do not count again.
     pub batch_frames: u64,
     /// Items resolved by waiting on another thread's in-flight
     /// registration instead of sending our own.
@@ -601,44 +609,6 @@ impl TaintMapClient {
         }
     }
 
-    /// One single-item RPC round trip on a shard, with deadline, retry
-    /// budget, and breaker accounting — the unbatched protocol path,
-    /// kept as the measured baseline.
-    fn rpc(&self, shard: usize, op: u8, payload: &[u8]) -> Result<(u8, Vec<u8>), TaintMapError> {
-        self.admit(shard)?;
-        let mut guard = self.inner.shards[shard].lock();
-        let deadline = self.inner.resilience.rpc_deadline;
-        let mut last = TaintMapError::Net(dista_simnet::NetError::Closed);
-        for attempt in 0..=self.inner.resilience.retry_budget {
-            if attempt > 0 {
-                self.note_retry(attempt);
-                if let Err(e) = self.redial(shard, &mut guard) {
-                    last = e;
-                    continue;
-                }
-            }
-            match rpc_on(&guard.conn, op, payload, deadline) {
-                Ok(reply) => {
-                    self.breaker_success(shard);
-                    return Ok(reply);
-                }
-                Err(e) => last = e,
-            }
-        }
-        self.breaker_failure(shard);
-        Err(last)
-    }
-
-    /// Reconnects a shard's connection to the next address in its
-    /// failover list.
-    fn redial(
-        &self,
-        shard: usize,
-        guard: &mut MutexGuard<'_, ShardConn>,
-    ) -> Result<(), TaintMapError> {
-        self.redial_addrs(shard, self.inner.topology.shard_addrs(shard), guard)
-    }
-
     /// Reconnects a connection to the next address in `addrs` (a base
     /// shard's failover list, or the single address of a split server).
     /// Breaker/failover accounting lands on residue class `class`.
@@ -691,7 +661,8 @@ impl TaintMapClient {
     }
 
     /// Handles a stale-epoch rejection from the server at `addr`:
-    /// refetches its class table over `EPOCH_OF` and merges it.
+    /// refetches its class table with an `EPOCH_OF` frame over the same
+    /// transport as every batch, and merges it.
     fn refetch_table(
         &self,
         class: usize,
@@ -701,7 +672,16 @@ impl TaintMapClient {
         // The rejection names the server's epoch; the table itself comes
         // from a dedicated round trip.
         let _server_epoch = decode_stale_epoch(payload)?;
-        let (op, resp) = self.rpc_routed(class, addr, OP_EPOCH_OF, b"")?;
+        let fetch = BatchGroup {
+            class,
+            addr,
+            items: Vec::new(),
+            payload: Vec::new(),
+        };
+        let (op, resp) = self
+            .run_groups(std::slice::from_ref(&fetch), OP_EPOCH_OF)
+            .pop()
+            .expect("one reply per group")?;
         if op != RESP_OK {
             return Err(TaintMapError::Protocol("bad epoch-of response"));
         }
@@ -789,145 +769,163 @@ impl TaintMapClient {
         Err(last)
     }
 
-    /// One single-item RPC routed to a specific server of `class`: the
-    /// base connection when `addr` is in the class's topology, a pooled
-    /// extra connection otherwise (split servers).
-    fn rpc_routed(
-        &self,
-        class: usize,
-        addr: NodeAddr,
-        op: u8,
-        payload: &[u8],
-    ) -> Result<(u8, Vec<u8>), TaintMapError> {
-        if self.is_base(class, addr) {
-            return self.rpc(class, op, payload);
-        }
-        self.admit(class)?;
-        let conn = self.extra_conn(addr)?;
-        let mut guard = conn.lock();
-        let deadline = self.inner.resilience.rpc_deadline;
-        let mut last = TaintMapError::Net(dista_simnet::NetError::Closed);
-        for attempt in 0..=self.inner.resilience.retry_budget {
-            if attempt > 0 {
-                self.note_retry(attempt);
-                if let Err(e) = self.redial_addrs(class, &[addr], &mut guard) {
-                    last = e;
-                    continue;
-                }
-            }
-            match rpc_on(&guard.conn, op, payload, deadline) {
-                Ok(reply) => {
-                    self.breaker_success(class);
-                    return Ok(reply);
-                }
-                Err(e) => last = e,
-            }
-        }
-        self.breaker_failure(class);
-        Err(last)
-    }
-
-    /// Runs one round of per-destination batch frames: locks every
-    /// destination connection in ascending `(class, addr)` order (the
-    /// deadlock-free order shared by all batch paths), pipelines the
-    /// writes, then collects the responses.
+    /// Runs one round of per-destination request frames — the client's
+    /// only transport. Each group passes its class's breaker, then every
+    /// destination connection is locked in ascending `(class, addr)`
+    /// order (the deadlock-free order), the writes are pipelined, and the
+    /// responses collected. Replies are index-aligned with `groups`; a
+    /// group whose transport failed carries its error without affecting
+    /// the others, and every frame that went out has its reply read, so
+    /// no stale response is left on a kept-open connection.
     fn run_groups(
         &self,
         groups: &[BatchGroup],
         op: u8,
-    ) -> Result<Vec<(u8, Vec<u8>)>, TaintMapError> {
+    ) -> Vec<Result<(u8, Vec<u8>), TaintMapError>> {
         debug_assert!(
             groups
                 .windows(2)
                 .all(|w| (w[0].class, w[0].addr) < (w[1].class, w[1].addr)),
             "groups must be sorted and deduped for the lock order"
         );
-        let base_lists: Vec<Option<&[NodeAddr]>> = groups
+        // `None`: the class's base connection; `Some`: a split server's.
+        let conns: Vec<Result<Option<Arc<Mutex<ShardConn>>>, TaintMapError>> = groups
             .iter()
             .map(|g| {
-                self.is_base(g.class, g.addr)
-                    .then(|| self.inner.topology.shard_addrs(g.class))
+                self.admit(g.class)?;
+                if self.is_base(g.class, g.addr) {
+                    Ok(None)
+                } else {
+                    self.extra_conn(g.addr).map(Some)
+                }
             })
             .collect();
-        let extras: Vec<Option<Arc<Mutex<ShardConn>>>> = groups
+        let mut guards: Vec<Result<MutexGuard<'_, ShardConn>, TaintMapError>> = groups
             .iter()
-            .zip(&base_lists)
-            .map(|(g, base)| match base {
-                Some(_) => Ok(None),
-                None => self.extra_conn(g.addr).map(Some),
+            .zip(&conns)
+            .map(|(g, conn)| match conn {
+                Ok(Some(extra)) => Ok(extra.lock()),
+                Ok(None) => Ok(self.inner.shards[g.class].lock()),
+                Err(e) => Err(e.clone()),
             })
-            .collect::<Result<_, _>>()?;
-        let single_addrs: Vec<[NodeAddr; 1]> = groups.iter().map(|g| [g.addr]).collect();
-        let mut guards: Vec<MutexGuard<'_, ShardConn>> = Vec::with_capacity(groups.len());
-        for (g, extra) in groups.iter().zip(&extras) {
-            guards.push(match extra {
-                Some(conn) => conn.lock(),
-                None => self.inner.shards[g.class].lock(),
-            });
+            .collect();
+        for (g, guard) in groups.iter().zip(guards.iter_mut()) {
+            if let Ok(conn) = guard {
+                let single = [g.addr];
+                let addrs = self.failover_list(g, &single);
+                if let Err(e) = self.send_batch_locked(g.class, addrs, conn, op, &g.payload) {
+                    *guard = Err(e);
+                }
+            }
         }
-        for ((g, guard), (base, single)) in groups
+        groups
             .iter()
-            .zip(guards.iter_mut())
-            .zip(base_lists.iter().zip(&single_addrs))
-        {
-            let addrs = base.unwrap_or(single);
-            self.send_batch_locked(g.class, addrs, guard, op, &g.payload)?;
+            .zip(guards)
+            .map(|(g, guard)| {
+                let single = [g.addr];
+                let addrs = self.failover_list(g, &single);
+                self.recv_batch_locked(g.class, addrs, &mut guard?, op, &g.payload)
+            })
+            .collect()
+    }
+
+    /// The addresses a group's connection fails over along: the class's
+    /// base list, or just the split server itself (`single`).
+    fn failover_list<'a>(&'a self, g: &BatchGroup, single: &'a [NodeAddr; 1]) -> &'a [NodeAddr] {
+        if self.is_base(g.class, g.addr) {
+            self.inner.topology.shard_addrs(g.class)
+        } else {
+            single
         }
-        let mut replies = Vec::with_capacity(groups.len());
-        for ((g, guard), (base, single)) in groups
-            .iter()
-            .zip(guards.iter_mut())
-            .zip(base_lists.iter().zip(&single_addrs))
-        {
-            let addrs = base.unwrap_or(single);
-            replies.push(self.recv_batch_locked(g.class, addrs, guard, op, &g.payload)?);
+    }
+
+    /// Drives one register or lookup request to completion over
+    /// epoch-stamped `op` frames. Each round routes every unanswered
+    /// item slot through the cached class tables (`route`), sends one
+    /// frame per destination built by `encode(epoch, slots)`, and hands
+    /// each `OK` reply to `answer`. A destination that answers `Moved`
+    /// or `StaleEpoch` has its slots re-queued after the client adopts
+    /// the newer table. Returns the slots whose destination's transport
+    /// failed, with the error; every other slot was answered.
+    ///
+    /// # Errors
+    ///
+    /// Malformed replies, and redirects that do not converge within
+    /// [`RESHARD_ROUNDS`].
+    fn drive_rounds(
+        &self,
+        op: u8,
+        slots: usize,
+        route: impl Fn(&[ClassTable], usize) -> (usize, NodeAddr),
+        encode: impl Fn(u64, &[usize]) -> Vec<u8>,
+        mut answer: impl FnMut(&[usize], &[u8]) -> Result<(), TaintMapError>,
+    ) -> Result<Vec<(Vec<usize>, TaintMapError)>, TaintMapError> {
+        let mut unreachable = Vec::new();
+        let mut unanswered: Vec<usize> = (0..slots).collect();
+        for _round in 0..RESHARD_ROUNDS {
+            if unanswered.is_empty() {
+                break;
+            }
+            // BTreeMap gives the ascending (class, addr) lock order.
+            let mut by_dest: BTreeMap<(usize, NodeAddr), Vec<usize>> = BTreeMap::new();
+            let epochs: Vec<u64> = {
+                let tables = self.inner.tables.lock();
+                for &k in &unanswered {
+                    by_dest.entry(route(&tables, k)).or_default().push(k);
+                }
+                tables.iter().map(|t| t.epoch).collect()
+            };
+            let groups: Vec<BatchGroup> = by_dest
+                .into_iter()
+                .map(|((class, addr), items)| BatchGroup {
+                    payload: encode(epochs[class], &items),
+                    class,
+                    addr,
+                    items,
+                })
+                .collect();
+            let replies = self.run_groups(&groups, op);
+            unanswered.clear();
+            for (g, reply) in groups.into_iter().zip(replies) {
+                let redirect = match reply {
+                    Ok((RESP_OK, resp)) => {
+                        answer(&g.items, &resp)?;
+                        continue;
+                    }
+                    Ok((RESP_MOVED, resp)) => self.adopt_moved(g.class, &resp),
+                    Ok((RESP_STALE_EPOCH, resp)) => self.refetch_table(g.class, g.addr, &resp),
+                    Ok(_) => return Err(TaintMapError::Protocol("bad batch response")),
+                    Err(e) => Err(e),
+                };
+                match redirect {
+                    Ok(()) => unanswered.extend(g.items),
+                    Err(e @ (TaintMapError::Net(_) | TaintMapError::ShardUnavailable(_))) => {
+                        unreachable.push((g.items, e));
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
         }
-        Ok(replies)
+        if !unanswered.is_empty() {
+            return Err(TaintMapError::Protocol("resharding did not converge"));
+        }
+        Ok(unreachable)
     }
 
     /// Returns the Global ID for `taint`, registering it with the service
-    /// on first use (steps ①-② of Fig. 9). The empty taint maps to
+    /// on first use (steps ①-② of Fig. 9): a batch of one through
+    /// [`TaintMapClient::global_ids_for`]. The empty taint maps to
     /// [`GlobalId::UNTAINTED`] without any RPC.
-    ///
-    /// This is the unbatched wire path (one `REGISTER` frame per cache
-    /// miss); hot paths use [`TaintMapClient::global_ids_for`].
     ///
     /// # Errors
     ///
     /// Transport errors from the RPC.
     pub fn global_id_for(&self, taint: Taint) -> Result<GlobalId, TaintMapError> {
-        if taint.is_empty() {
-            return Ok(GlobalId::UNTAINTED);
-        }
-        if let Some(&gid) = self.inner.gid_of.lock().get(&taint) {
-            self.note_cache_hit();
-            return Ok(gid);
-        }
-        let serialized = serialize_taint(self.inner.store.tree(), taint);
-        let class = shard_of_bytes(&serialized, self.shard_count());
-        self.inner.register_rpcs.fetch_add(1, Ordering::Relaxed);
-        for _ in 0..RESHARD_ROUNDS {
-            // Allocation lives with the class's open-ended tail range.
-            let addr = self.inner.tables.lock()[class].tail().addrs[0];
-            let (op, payload) = self.rpc_routed(class, addr, OP_REGISTER, &serialized)?;
-            if op == RESP_MOVED {
-                self.adopt_moved(class, &payload)?;
-                continue;
-            }
-            if op != RESP_OK || payload.len() != 4 {
-                return Err(TaintMapError::Protocol("bad register response"));
-            }
-            let gid = GlobalId(u32::from_be_bytes([
-                payload[0], payload[1], payload[2], payload[3],
-            ]));
-            self.finish_registration(taint, gid);
-            return Ok(gid);
-        }
-        Err(TaintMapError::Protocol("resharding did not converge"))
+        Ok(self.global_ids_for(&[taint])?[0])
     }
 
     /// Returns Global IDs for a whole slice of taints, registering every
-    /// cache miss in one `REGISTER_BATCH` frame per shard. Output is
+    /// cache miss in one `REGISTER_BATCH_E` frame per shard. Output is
     /// index-aligned with the input; empty taints map to
     /// [`GlobalId::UNTAINTED`].
     ///
@@ -992,11 +990,10 @@ impl TaintMapClient {
         Ok(out)
     }
 
-    /// Registers `mine` across shards: writes every destination's
-    /// `REGISTER_BATCH_E` frame before reading any response, so servers
-    /// work concurrently. A destination that answers `Moved` or
-    /// stale-epoch gets its items re-partitioned through the merged
-    /// class table on the next round. Returns gids aligned with `mine`.
+    /// Registers `mine` across shards: one `REGISTER_BATCH_E` frame per
+    /// destination, all written before any response is read so servers
+    /// work concurrently. Registration (allocation) goes to each class's
+    /// open-ended tail range. Returns gids aligned with `mine`.
     fn register_batch(
         &self,
         mine: &[(usize, Taint, Vec<u8>)],
@@ -1009,74 +1006,47 @@ impl TaintMapClient {
         let wire_started = std::time::Instant::now();
 
         let mut gids = vec![GlobalId::UNTAINTED; mine.len()];
-        // Item slots not yet registered, per residue class.
-        let mut remaining: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (k, (_, _, serialized)) in mine.iter().enumerate() {
-            remaining[shard_of_bytes(serialized, n)].push(k);
-        }
-        for _round in 0..RESHARD_ROUNDS {
-            // One group per loaded class: registration (allocation) goes
-            // to the tail owner at the cached epoch. Classes are visited
-            // ascending, so the groups come out in lock order.
-            let mut groups: Vec<BatchGroup> = Vec::new();
-            {
-                let tables = self.inner.tables.lock();
-                for (class, items) in remaining.iter_mut().enumerate() {
-                    if items.is_empty() {
-                        continue;
-                    }
-                    let batch: Vec<Vec<u8>> = items.iter().map(|&k| mine[k].2.clone()).collect();
-                    groups.push(BatchGroup {
-                        class,
-                        addr: tables[class].tail().addrs[0],
-                        items: std::mem::take(items),
-                        payload: stamp_epoch(tables[class].epoch, &encode_register_batch(&batch)),
-                    });
+        let unreachable = self.drive_rounds(
+            OP_REGISTER_BATCH_E,
+            mine.len(),
+            |tables, k| {
+                let class = shard_of_bytes(&mine[k].2, n);
+                (class, tables[class].tail().addrs[0])
+            },
+            |epoch, items| {
+                let batch: Vec<&[u8]> = items.iter().map(|&k| &mine[k].2[..]).collect();
+                encode_register_batch(epoch, &batch)
+            },
+            |items, resp| {
+                let shard_gids = decode_register_batch_resp(resp, items.len())?;
+                for (&k, gid) in items.iter().zip(shard_gids) {
+                    gids[k] = GlobalId(gid);
                 }
-            }
-            if groups.is_empty() {
-                break;
-            }
-            for g in &groups {
-                self.admit(g.class)?;
-            }
-            let replies = self.run_groups(&groups, OP_REGISTER_BATCH_E)?;
-            for (g, (op, resp)) in groups.into_iter().zip(replies) {
-                match op {
-                    RESP_OK => {
-                        let shard_gids = decode_register_batch_resp(&resp, g.items.len())?;
-                        for (&k, gid) in g.items.iter().zip(shard_gids) {
-                            gids[k] = GlobalId(gid);
-                        }
-                    }
-                    RESP_MOVED => {
-                        self.adopt_moved(g.class, &resp)?;
-                        remaining[g.class] = g.items;
-                    }
-                    RESP_STALE_EPOCH => {
-                        self.refetch_table(g.class, g.addr, &resp)?;
-                        remaining[g.class] = g.items;
-                    }
-                    _ => return Err(TaintMapError::Protocol("bad register batch response")),
-                }
-            }
+                Ok(())
+            },
+        )?;
+        if let Some((_, e)) = unreachable.into_iter().next() {
+            return Err(e);
         }
-        if remaining.iter().any(|items| !items.is_empty()) {
-            return Err(TaintMapError::Protocol("resharding did not converge"));
-        }
-        let wire_elapsed = wire_started.elapsed();
-        self.inner
-            .obs
-            .batch_latency_us
-            .observe(wire_elapsed.as_micros() as u64);
-        self.inner
-            .obs
-            .rpc_phase
-            .record_ns(wire_elapsed.as_nanos() as u64);
+        self.observe_wire(wire_started);
         for ((_, taint, _), &gid) in mine.iter().zip(&gids) {
             self.finish_registration(*taint, gid);
         }
         Ok(gids)
+    }
+
+    /// Records one batch's wire time in the latency histogram and the
+    /// `map_rpc` cost phase.
+    fn observe_wire(&self, started: Instant) {
+        let elapsed = started.elapsed();
+        self.inner
+            .obs
+            .batch_latency_us
+            .observe(elapsed.as_micros() as u64);
+        self.inner
+            .obs
+            .rpc_phase
+            .record_ns(elapsed.as_nanos() as u64);
     }
 
     /// Records a fresh registration in both caches and on the tag quads
@@ -1120,45 +1090,20 @@ impl TaintMapClient {
     }
 
     /// Resolves a Global ID received from the wire back into a local
-    /// taint (steps ④-⑤ of Fig. 9). [`GlobalId::UNTAINTED`] maps to the
-    /// empty taint without any RPC.
-    ///
-    /// This is the unbatched wire path (one `LOOKUP` frame per cache
-    /// miss); hot paths use [`TaintMapClient::taints_for`].
+    /// taint (steps ④-⑤ of Fig. 9): a batch of one through
+    /// [`TaintMapClient::taints_for`]. [`GlobalId::UNTAINTED`] maps to
+    /// the empty taint without any RPC.
     ///
     /// # Errors
     ///
     /// [`TaintMapError::UnknownGlobalId`] if the service never saw the
     /// id; transport/codec errors otherwise.
     pub fn taint_for(&self, gid: GlobalId) -> Result<Taint, TaintMapError> {
-        if !gid.is_tainted() {
-            return Ok(Taint::EMPTY);
-        }
-        if let Some(&taint) = self.inner.taint_of.lock().get(&gid) {
-            self.note_cache_hit();
-            return Ok(taint);
-        }
-        let class = shard_of_gid(gid.0, self.shard_count());
-        self.inner.lookup_rpcs.fetch_add(1, Ordering::Relaxed);
-        for _ in 0..RESHARD_ROUNDS {
-            let addr = self.inner.tables.lock()[class].range_of_gid(gid.0).addrs[0];
-            let (op, payload) = self.rpc_routed(class, addr, OP_LOOKUP, &gid.0.to_be_bytes())?;
-            if op == RESP_MOVED {
-                self.adopt_moved(class, &payload)?;
-                continue;
-            }
-            if op != RESP_OK {
-                return Err(TaintMapError::UnknownGlobalId(gid));
-            }
-            let taint = deserialize_taint(&self.inner.store, &payload)?;
-            self.finish_lookup(gid, taint);
-            return Ok(taint);
-        }
-        Err(TaintMapError::Protocol("resharding did not converge"))
+        Ok(self.taints_for(&[gid])?[0])
     }
 
     /// Resolves a whole slice of Global IDs, fetching every cache miss
-    /// in one `LOOKUP_BATCH` frame per shard. Output is index-aligned
+    /// in one `LOOKUP_BATCH_E` frame per shard. Output is index-aligned
     /// with the input; [`GlobalId::UNTAINTED`] maps to the empty taint.
     ///
     /// # Errors
@@ -1166,135 +1111,7 @@ impl TaintMapClient {
     /// [`TaintMapError::UnknownGlobalId`] naming the first id the
     /// service never saw; transport/codec errors otherwise.
     pub fn taints_for(&self, gids: &[GlobalId]) -> Result<Vec<Taint>, TaintMapError> {
-        let mut out = vec![Taint::EMPTY; gids.len()];
-        let mut misses: Vec<(usize, GlobalId)> = Vec::new();
-        {
-            let taint_cache = self.inner.taint_of.lock();
-            let mut seen = HashMap::new();
-            for (i, &gid) in gids.iter().enumerate() {
-                if !gid.is_tainted() {
-                    continue;
-                }
-                if let Some(&taint) = taint_cache.get(&gid) {
-                    self.note_cache_hit();
-                    out[i] = taint;
-                    continue;
-                }
-                // Dedup within the call; later copies are back-filled.
-                if seen.insert(gid, ()).is_none() {
-                    misses.push((i, gid));
-                }
-            }
-        }
-        if misses.is_empty() {
-            return self.backfill_lookup_duplicates(gids, out);
-        }
-        self.inner
-            .lookup_rpcs
-            .fetch_add(misses.len() as u64, Ordering::Relaxed);
-        self.inner.obs.batch_items.observe(misses.len() as u64);
-        let wire_started = std::time::Instant::now();
-
-        let n = self.shard_count();
-        // `None` = not yet answered by a server; an answered-but-unknown
-        // gid records `Some(None)`.
-        let mut fetched: Vec<Option<Option<Vec<u8>>>> = vec![None; misses.len()];
-        let mut unresolved: Vec<usize> = (0..misses.len()).collect();
-        for _round in 0..RESHARD_ROUNDS {
-            if unresolved.is_empty() {
-                break;
-            }
-            // Partition the unresolved slots by (class, serving range):
-            // a split class fans its gids out over every range owner.
-            // BTreeMap gives the ascending (class, addr) lock order.
-            let mut by_dest: std::collections::BTreeMap<(usize, NodeAddr), Vec<usize>> =
-                std::collections::BTreeMap::new();
-            let epochs: Vec<u64> = {
-                let tables = self.inner.tables.lock();
-                for &k in &unresolved {
-                    let gid = misses[k].1;
-                    let class = shard_of_gid(gid.0, n);
-                    let addr = tables[class].range_of_gid(gid.0).addrs[0];
-                    by_dest.entry((class, addr)).or_default().push(k);
-                }
-                tables.iter().map(|t| t.epoch).collect()
-            };
-            let groups: Vec<BatchGroup> = by_dest
-                .into_iter()
-                .map(|((class, addr), items)| {
-                    let batch: Vec<u32> = items.iter().map(|&k| misses[k].1 .0).collect();
-                    BatchGroup {
-                        class,
-                        addr,
-                        items,
-                        payload: stamp_epoch(epochs[class], &encode_lookup_batch(&batch)),
-                    }
-                })
-                .collect();
-            for g in &groups {
-                self.admit(g.class)?;
-            }
-            let replies = self.run_groups(&groups, OP_LOOKUP_BATCH_E)?;
-            unresolved.clear();
-            for (g, (op, resp)) in groups.into_iter().zip(replies) {
-                match op {
-                    RESP_OK => {
-                        let items = decode_lookup_batch_resp(&resp, g.items.len())?;
-                        for (&k, item) in g.items.iter().zip(items) {
-                            fetched[k] = Some(item);
-                        }
-                    }
-                    RESP_MOVED => {
-                        self.adopt_moved(g.class, &resp)?;
-                        unresolved.extend(g.items);
-                    }
-                    RESP_STALE_EPOCH => {
-                        self.refetch_table(g.class, g.addr, &resp)?;
-                        unresolved.extend(g.items);
-                    }
-                    _ => return Err(TaintMapError::Protocol("bad lookup batch response")),
-                }
-            }
-        }
-        if !unresolved.is_empty() {
-            return Err(TaintMapError::Protocol("resharding did not converge"));
-        }
-        let fetched: Vec<Option<Vec<u8>>> = fetched.into_iter().map(|f| f.flatten()).collect();
-        let wire_elapsed = wire_started.elapsed();
-        self.inner
-            .obs
-            .batch_latency_us
-            .observe(wire_elapsed.as_micros() as u64);
-        self.inner
-            .obs
-            .rpc_phase
-            .record_ns(wire_elapsed.as_nanos() as u64);
-
-        for ((i, gid), bytes) in misses.into_iter().zip(fetched) {
-            let bytes = bytes.ok_or(TaintMapError::UnknownGlobalId(gid))?;
-            let taint = deserialize_taint(&self.inner.store, &bytes)?;
-            self.finish_lookup(gid, taint);
-            out[i] = taint;
-        }
-        self.backfill_lookup_duplicates(gids, out)
-    }
-
-    /// Second pass for duplicate ids within one `taints_for` call: every
-    /// copy of an id resolved this call gets the same taint.
-    fn backfill_lookup_duplicates(
-        &self,
-        gids: &[GlobalId],
-        mut out: Vec<Taint>,
-    ) -> Result<Vec<Taint>, TaintMapError> {
-        let taint_cache = self.inner.taint_of.lock();
-        for (i, &gid) in gids.iter().enumerate() {
-            if gid.is_tainted() && out[i].is_empty() {
-                out[i] = *taint_cache
-                    .get(&gid)
-                    .ok_or(TaintMapError::UnknownGlobalId(gid))?;
-            }
-        }
-        Ok(out)
+        self.lookup(gids, false)
     }
 
     /// Like [`TaintMapClient::taints_for`], but **sound under
@@ -1318,12 +1135,27 @@ impl TaintMapClient {
     pub fn taints_for_degraded(&self, gids: &[GlobalId]) -> Result<Vec<Taint>, TaintMapError> {
         // Heal-side reconciliation rides on the next lookup batch.
         let _ = self.reconcile_pending()?;
+        self.lookup(gids, true)
+    }
+
+    /// The lookup path behind [`TaintMapClient::taints_for`] and
+    /// [`TaintMapClient::taints_for_degraded`]: one cache scan (plus the
+    /// pending sentinels when `degrade`), in-call dedup, one batched
+    /// fetch of the misses, and a back-fill of duplicate ids. The two
+    /// differ only in what a shard's transport failure does: propagate
+    /// the error, or (`degrade`) stamp its gids with `pending-gid`
+    /// sentinels.
+    fn lookup(&self, gids: &[GlobalId], degrade: bool) -> Result<Vec<Taint>, TaintMapError> {
         let mut out = vec![Taint::EMPTY; gids.len()];
-        let mut misses: Vec<(usize, GlobalId)> = Vec::new();
+        // Distinct misses: their input index and gid.
+        let mut miss_at: Vec<usize> = Vec::new();
+        let mut misses: Vec<GlobalId> = Vec::new();
+        // Later copies of a miss: (copy index, first index).
+        let mut copies: Vec<(usize, usize)> = Vec::new();
         {
             let taint_cache = self.inner.taint_of.lock();
-            let pending = self.inner.pending.lock();
-            let mut seen = HashMap::new();
+            let pending = degrade.then(|| self.inner.pending.lock());
+            let mut first: HashMap<GlobalId, usize> = HashMap::new();
             for (i, &gid) in gids.iter().enumerate() {
                 if !gid.is_tainted() {
                     continue;
@@ -1333,75 +1165,108 @@ impl TaintMapClient {
                     out[i] = taint;
                     continue;
                 }
-                if let Some(&sentinel) = pending.get(&gid) {
+                if let Some(&sentinel) = pending.as_ref().and_then(|p| p.get(&gid)) {
                     out[i] = sentinel;
                     continue;
                 }
-                if seen.insert(gid, ()).is_none() {
-                    misses.push((i, gid));
-                }
-            }
-        }
-        if misses.is_empty() {
-            return self.backfill_degraded_duplicates(gids, out);
-        }
-        // Group misses by owning shard and resolve each shard's slice
-        // through the normal batched path; a shard whose batch dies on
-        // transport degrades *only its own* gids to sentinels.
-        let n = self.shard_count();
-        let mut per_shard: Vec<Vec<(usize, GlobalId)>> = vec![Vec::new(); n];
-        for (i, gid) in misses {
-            per_shard[shard_of_gid(gid.0, n)].push((i, gid));
-        }
-        for (shard, items) in per_shard.into_iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let shard_gids: Vec<GlobalId> = items.iter().map(|&(_, gid)| gid).collect();
-            match self.taints_for(&shard_gids) {
-                Ok(taints) => {
-                    for (&(i, _), taint) in items.iter().zip(taints) {
-                        out[i] = taint;
+                match first.entry(gid) {
+                    Entry::Occupied(at) => copies.push((i, *at.get())),
+                    Entry::Vacant(slot) => {
+                        slot.insert(i);
+                        miss_at.push(i);
+                        misses.push(gid);
                     }
                 }
-                Err(TaintMapError::Net(_)) | Err(TaintMapError::ShardUnavailable(_)) => {
-                    for &(i, gid) in &items {
-                        out[i] = self.pending_sentinel(gid, shard);
-                    }
-                }
-                Err(e) => return Err(e),
             }
         }
-        self.backfill_degraded_duplicates(gids, out)
-    }
-
-    /// Duplicate back-fill for the degraded path: copies of an id
-    /// resolved (or degraded) this call get the same taint/sentinel.
-    fn backfill_degraded_duplicates(
-        &self,
-        gids: &[GlobalId],
-        mut out: Vec<Taint>,
-    ) -> Result<Vec<Taint>, TaintMapError> {
-        let taint_cache = self.inner.taint_of.lock();
-        let pending = self.inner.pending.lock();
-        for (i, &gid) in gids.iter().enumerate() {
-            if gid.is_tainted() && out[i].is_empty() {
-                out[i] = match taint_cache.get(&gid) {
-                    Some(&taint) => taint,
-                    None => *pending
-                        .get(&gid)
-                        .ok_or(TaintMapError::UnknownGlobalId(gid))?,
+        if !misses.is_empty() {
+            let fetched = self.fetch_taints(&misses)?;
+            for ((i, gid), taint) in miss_at.into_iter().zip(misses).zip(fetched) {
+                out[i] = match taint {
+                    Ok(taint) => taint,
+                    Err(_) if degrade => self.pending_sentinel(gid),
+                    Err(e) => return Err(e),
                 };
             }
         }
+        for (copy, first) in copies {
+            out[copy] = out[first];
+        }
         Ok(out)
+    }
+
+    /// Fetches distinct, cache-missing `gids` over `LOOKUP_BATCH_E`
+    /// frames (a split class fans its gids out over every range owner)
+    /// and records each resolution in the caches. Index-aligned result:
+    /// the taint, or the transport error that cut the gid's shard off.
+    ///
+    /// # Errors
+    ///
+    /// [`TaintMapError::UnknownGlobalId`] naming the first id the service
+    /// never saw; codec and protocol errors.
+    #[allow(clippy::type_complexity)]
+    fn fetch_taints(
+        &self,
+        gids: &[GlobalId],
+    ) -> Result<Vec<Result<Taint, TaintMapError>>, TaintMapError> {
+        let n = self.shard_count();
+        self.inner
+            .lookup_rpcs
+            .fetch_add(gids.len() as u64, Ordering::Relaxed);
+        self.inner.obs.batch_items.observe(gids.len() as u64);
+        let wire_started = Instant::now();
+
+        // Every slot ends up answered (`Ok(Some)` known, `Ok(None)`
+        // unknown) or overwritten below with its shard's transport error.
+        let mut fetched: Vec<Result<Option<Vec<u8>>, TaintMapError>> = vec![Ok(None); gids.len()];
+        let unreachable = self.drive_rounds(
+            OP_LOOKUP_BATCH_E,
+            gids.len(),
+            |tables, k| {
+                let gid = gids[k].0;
+                let class = shard_of_gid(gid, n);
+                (class, tables[class].range_of_gid(gid).addrs[0])
+            },
+            |epoch, items| {
+                let batch: Vec<u32> = items.iter().map(|&k| gids[k].0).collect();
+                encode_lookup_batch(epoch, &batch)
+            },
+            |items, resp| {
+                for (&k, item) in items
+                    .iter()
+                    .zip(decode_lookup_batch_resp(resp, items.len())?)
+                {
+                    fetched[k] = Ok(item);
+                }
+                Ok(())
+            },
+        )?;
+        for (items, e) in unreachable {
+            for k in items {
+                fetched[k] = Err(e.clone());
+            }
+        }
+        self.observe_wire(wire_started);
+
+        gids.iter()
+            .zip(fetched)
+            .map(|(&gid, bytes)| match bytes {
+                Ok(Some(bytes)) => {
+                    let taint = deserialize_taint(&self.inner.store, &bytes)?;
+                    self.finish_lookup(gid, taint);
+                    Ok(Ok(taint))
+                }
+                Ok(None) => Err(TaintMapError::UnknownGlobalId(gid)),
+                Err(e) => Ok(Err(e)),
+            })
+            .collect()
     }
 
     /// Mints (or reuses) the `pending-gid:<n>` sentinel for an
     /// unreachable gid and records the degradation. The sentinel lives
     /// in the pending map, *not* the `taint_of` cache, so a healed
     /// lookup later resolves the real taint instead of the placeholder.
-    fn pending_sentinel(&self, gid: GlobalId, shard: usize) -> Taint {
+    fn pending_sentinel(&self, gid: GlobalId) -> Taint {
         let mut pending = self.inner.pending.lock();
         if let Some(&sentinel) = pending.get(&gid) {
             return sentinel;
@@ -1413,6 +1278,7 @@ impl TaintMapClient {
         pending.insert(gid, sentinel);
         self.inner.degraded_lookups.fetch_add(1, Ordering::Relaxed);
         self.inner.obs.degraded_lookups.inc();
+        let shard = shard_of_gid(gid.0, self.shard_count());
         self.inner
             .obs
             .recorder
@@ -1421,8 +1287,9 @@ impl TaintMapClient {
     }
 
     /// Re-attempts every pending gid against its (hopefully healed)
-    /// shard; each success records the sentinel → real-taint resolution
-    /// and a `PendingResolved` event. Gids whose shard is still
+    /// shard in one batched lookup, one frame per shard; each success
+    /// records the sentinel → real-taint resolution and a
+    /// `PendingResolved` event, in gid order. Gids whose shard is still
     /// unreachable stay pending. Returns how many resolved this call.
     ///
     /// # Errors
@@ -1435,32 +1302,36 @@ impl TaintMapClient {
             let pending = self.inner.pending.lock();
             pending.iter().map(|(&g, &s)| (g, s)).collect()
         };
+        if snapshot.is_empty() {
+            return Ok(0);
+        }
         // Gid order, not hash order: reconciliation (and its event
         // stream) must replay identically across runs.
         snapshot.sort_by_key(|&(gid, _)| gid.0);
+        let gids: Vec<GlobalId> = snapshot.iter().map(|&(gid, _)| gid).collect();
+        let fetched = self.fetch_taints(&gids)?;
         let mut resolved = 0u64;
-        for (gid, sentinel) in snapshot {
-            match self.taint_for(gid) {
-                Ok(taint) => {
-                    self.inner.pending.lock().remove(&gid);
-                    self.inner
-                        .sentinel_resolutions
-                        .lock()
-                        .insert(sentinel, taint);
-                    self.inner.pending_resolved.fetch_add(1, Ordering::Relaxed);
-                    self.inner.obs.pending_resolved.inc();
-                    self.inner
-                        .obs
-                        .recorder
-                        .record_with(|| ObsEventKind::PendingResolved {
-                            gid: gid.0,
-                            taint: taint.node_index() as u32,
-                        });
-                    resolved += 1;
-                }
-                Err(TaintMapError::Net(_)) | Err(TaintMapError::ShardUnavailable(_)) => {}
-                Err(e) => return Err(e),
+        for ((gid, sentinel), taint) in snapshot.into_iter().zip(fetched) {
+            // A still-unreachable shard leaves its gids pending; so does
+            // a concurrent reconciler that resolved the gid first.
+            let Ok(taint) = taint else { continue };
+            if self.inner.pending.lock().remove(&gid).is_none() {
+                continue;
             }
+            self.inner
+                .sentinel_resolutions
+                .lock()
+                .insert(sentinel, taint);
+            self.inner.pending_resolved.fetch_add(1, Ordering::Relaxed);
+            self.inner.obs.pending_resolved.inc();
+            self.inner
+                .obs
+                .recorder
+                .record_with(|| ObsEventKind::PendingResolved {
+                    gid: gid.0,
+                    taint: taint.node_index() as u32,
+                });
+            resolved += 1;
         }
         Ok(resolved)
     }
@@ -1515,16 +1386,6 @@ impl TaintMapClient {
     pub fn class_epoch(&self, class: usize) -> u64 {
         self.inner.tables.lock()[class].epoch
     }
-}
-
-fn rpc_on(
-    conn: &TcpEndpoint,
-    op: u8,
-    payload: &[u8],
-    deadline: Duration,
-) -> Result<(u8, Vec<u8>), TaintMapError> {
-    write_frame(conn, op, payload)?;
-    read_frame_deadline(conn, deadline)?.ok_or(TaintMapError::Net(dista_simnet::NetError::Closed))
 }
 
 fn dial_any(
@@ -2005,6 +1866,51 @@ mod tests {
         assert_eq!(client2.stats().pending_resolved, 1);
         // The strict path now sees the real taint from cache.
         assert_eq!(client2.taints_for(&[gid]).unwrap()[0], real);
+        endpoint.shutdown();
+    }
+
+    #[test]
+    fn moved_on_a_stamped_frame_converges_without_tripping_the_breaker() {
+        // The old owner of a split range missed the epoch bump (the state
+        // `check_epoch` accepts ahead-of-server stamps for). A cold
+        // client's stamp passes its epoch check, the moved-range check
+        // answers `Moved`, and the client converges on the table the
+        // redirect carries: no refetch, no breaker trip, no failover.
+        let net = SimNet::new();
+        let mut endpoint = TaintMapEndpoint::builder().connect(&net).unwrap();
+        let store1 = TaintStore::new(LocalId::new([10, 0, 0, 1], 1));
+        let client1 = endpoint.client(&net, store1.clone()).unwrap();
+        let taints: Vec<Taint> = (0..16)
+            .map(|i| store1.mint_source_taint(TagValue::Int(i)))
+            .collect();
+        let gids = client1.global_ids_for(&taints).unwrap();
+
+        // Both cold clients hold the epoch-0 table: one range, base shard.
+        let store2 = TaintStore::new(LocalId::new([10, 0, 0, 2], 2));
+        let reader = endpoint.client(&net, store2.clone()).unwrap();
+        let store3 = TaintStore::new(LocalId::new([10, 0, 0, 3], 3));
+        let writer = endpoint.client(&net, store3.clone()).unwrap();
+
+        endpoint.split_shard(0).unwrap();
+        assert_eq!(endpoint.class_table(0).epoch, 1);
+        endpoint.shard(0).rewind_epoch(0);
+
+        // The highest gid migrated: its lookup is redirected once.
+        let (idx, &top) = gids.iter().enumerate().max_by_key(|(_, g)| g.0).unwrap();
+        let t = reader.taint_for(top).unwrap();
+        assert_eq!(store2.tag_values(t), vec![idx.to_string()]);
+        // Allocation moved with the tail: the registration is too.
+        let fresh = store3.mint_source_taint(TagValue::str("after-split"));
+        assert!(writer.global_id_for(fresh).unwrap().is_tainted());
+
+        for client in [&reader, &writer] {
+            let stats = client.stats();
+            assert_eq!(stats.moved_redirects, 1, "{stats:?}");
+            assert_eq!(stats.epoch_refetches, 0, "{stats:?}");
+            assert_eq!(stats.breaker_opens, 0, "redirects are successes");
+            assert_eq!(stats.failovers, 0, "no shard was ever unreachable");
+            assert_eq!(client.class_epoch(0), 1, "adopted the carried table");
+        }
         endpoint.shutdown();
     }
 

@@ -1,36 +1,22 @@
 //! Framed request/response protocol between VMs and the Taint Map.
 //!
 //! Frame layout (both directions): `op: u8`, `len: u32 BE`, `len` payload
-//! bytes. Requests: `REGISTER` carries a serialized taint, `LOOKUP`
-//! carries a 4-byte Global ID; `REGISTER_BATCH` / `LOOKUP_BATCH` carry
-//! many of either so a whole shadow buffer resolves in one round trip.
-//! Responses: `OK` carries the result payload, `ERR` carries a one-byte
-//! reason.
+//! bytes. The paper's two RPCs, `Register(taint) -> GlobalID` and
+//! `Lookup(GlobalID) -> taint`, each have exactly one request frame: a
+//! batch stamped with the client's class-table epoch. A single item is a
+//! batch of one, so a whole shadow buffer resolves in one round trip per
+//! shard and the unbatched baseline is just batch size 1 on the same op.
+//! Responses: `OK` carries the result payload, `ERR` a one-byte reason;
+//! an unknown op gets `ERR` and the connection keeps serving.
 //!
-//! Batch payload layouts (all integers big-endian):
-//!
-//! ```text
-//! REGISTER_BATCH  req:  u32 count, then count × (u32 len, len bytes)
-//!                 resp: u32 count, then count × u32 gid
-//! LOOKUP_BATCH    req:  u32 count, then count × u32 gid
-//!                 resp: u32 count, then count × (u8 status,
-//!                       if status == 0: u32 len, len bytes)
-//! ```
-//!
-//! The per-request service throttle is charged once per *frame*, so a
-//! batch amortizes the fixed RPC cost over all its items — the point of
-//! the batched protocol.
-//!
-//! **Resharding extensions.** Epoch-stamped batch ops prefix the legacy
-//! batch payload with a `u64` class-table epoch; a server whose table is
-//! newer rejects the frame with `STALE_EPOCH` (payload: its epoch) so the
-//! client refetches via `EPOCH_OF` and retries. A server that no longer
-//! owns a touched gid range answers `MOVED` carrying its whole
-//! [`ClassTable`] so even epoch-less clients can chase the redirect:
+//! Payload layouts (all integers big-endian):
 //!
 //! ```text
-//! REGISTER_BATCH_E req:  u64 epoch, then REGISTER_BATCH payload
-//! LOOKUP_BATCH_E   req:  u64 epoch, then LOOKUP_BATCH payload
+//! REGISTER_BATCH_E req:  u64 epoch, u32 count, count × (u32 len, len bytes)
+//!                  resp: u32 count, count × u32 gid
+//! LOOKUP_BATCH_E   req:  u64 epoch, u32 count, count × u32 gid
+//!                  resp: u32 count, count × (u8 status,
+//!                        if status == 0: u32 len, len bytes)
 //! EPOCH_OF         req:  empty            resp OK: class table
 //! TRANSFER_BATCH   req:  u32 count, count × (u32 gid, u32 len, bytes)
 //!                  resp OK: u32 count acknowledged
@@ -39,18 +25,25 @@
 //! class table:     u64 epoch, u32 nranges, nranges ×
 //!                  (u32 lo_gid, u8 naddrs, naddrs × (4B ip, u16 port))
 //! ```
+//!
+//! The per-request service throttle is charged once per *frame*, so a
+//! batch amortizes the fixed RPC cost over all its items.
+//!
+//! **Resharding.** A server whose class table is newer than a frame's
+//! stamp rejects it with `STALE_EPOCH` so the client refetches via
+//! `EPOCH_OF` and retries. A server that no longer owns a touched gid
+//! range answers `MOVED` carrying its whole [`ClassTable`].
+//!
+//! Counts inside payloads are untrusted: every decoder bounds the
+//! capacity it reserves by the bytes actually remaining.
 
 use dista_simnet::{NetError, NodeAddr, TcpEndpoint};
 
 use crate::error::TaintMapError;
 use crate::shard::{ClassTable, ShardRange};
 
-pub(crate) const OP_REGISTER: u8 = 1;
-pub(crate) const OP_LOOKUP: u8 = 2;
 pub(crate) const OP_SHUTDOWN: u8 = 3;
 pub(crate) const OP_REPLICATE: u8 = 4;
-pub(crate) const OP_REGISTER_BATCH: u8 = 5;
-pub(crate) const OP_LOOKUP_BATCH: u8 = 6;
 pub(crate) const OP_REGISTER_BATCH_E: u8 = 7;
 pub(crate) const OP_LOOKUP_BATCH_E: u8 = 8;
 pub(crate) const OP_EPOCH_OF: u8 = 9;
@@ -59,8 +52,6 @@ pub(crate) const RESP_OK: u8 = 0x80;
 pub(crate) const RESP_ERR: u8 = 0x81;
 pub(crate) const RESP_MOVED: u8 = 0x82;
 pub(crate) const RESP_STALE_EPOCH: u8 = 0x83;
-
-pub(crate) const ERR_UNKNOWN_GID: u8 = 1;
 
 pub(crate) const STATUS_OK: u8 = 0;
 pub(crate) const STATUS_UNKNOWN: u8 = 1;
@@ -185,11 +176,19 @@ impl<'a> PayloadReader<'a> {
     pub(crate) fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
+
+    /// Capacity to reserve for `count` untrusted items of at least
+    /// `min_item` bytes each: never more than the remaining bytes could
+    /// hold, so a forged count cannot request a huge allocation.
+    pub(crate) fn capacity_for(&self, count: usize, min_item: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / min_item)
+    }
 }
 
-/// Encodes a `REGISTER_BATCH` request payload.
-pub(crate) fn encode_register_batch(items: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + items.iter().map(|i| 4 + i.len()).sum::<usize>());
+/// Encodes a `REGISTER_BATCH_E` request payload stamped with `epoch`.
+pub(crate) fn encode_register_batch(epoch: u64, items: &[&[u8]]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(12 + items.iter().map(|i| 4 + i.len()).sum::<usize>());
+    out.extend_from_slice(&epoch.to_be_bytes());
     out.extend_from_slice(&(items.len() as u32).to_be_bytes());
     for item in items {
         out.extend_from_slice(&(item.len() as u32).to_be_bytes());
@@ -198,9 +197,10 @@ pub(crate) fn encode_register_batch(items: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// Encodes a `LOOKUP_BATCH` request payload.
-pub(crate) fn encode_lookup_batch(gids: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 4 * gids.len());
+/// Encodes a `LOOKUP_BATCH_E` request payload stamped with `epoch`.
+pub(crate) fn encode_lookup_batch(epoch: u64, gids: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(12 + 4 * gids.len());
+    out.extend_from_slice(&epoch.to_be_bytes());
     out.extend_from_slice(&(gids.len() as u32).to_be_bytes());
     for gid in gids {
         out.extend_from_slice(&gid.to_be_bytes());
@@ -208,7 +208,7 @@ pub(crate) fn encode_lookup_batch(gids: &[u32]) -> Vec<u8> {
     out
 }
 
-/// Decodes a `REGISTER_BATCH` response payload into Global IDs.
+/// Decodes a `REGISTER_BATCH_E` response payload into Global IDs.
 pub(crate) fn decode_register_batch_resp(
     payload: &[u8],
     expected: usize,
@@ -228,7 +228,7 @@ pub(crate) fn decode_register_batch_resp(
     Ok(gids)
 }
 
-/// Decodes a `LOOKUP_BATCH` response payload; `None` marks an id the
+/// Decodes a `LOOKUP_BATCH_E` response payload; `None` marks an id the
 /// service never assigned.
 pub(crate) fn decode_lookup_batch_resp(
     payload: &[u8],
@@ -280,7 +280,8 @@ pub(crate) fn decode_class_table(payload: &[u8]) -> Result<ClassTable, TaintMapE
     if nranges == 0 {
         return Err(TaintMapError::Protocol("class table has no ranges"));
     }
-    let mut ranges = Vec::with_capacity(nranges);
+    // A range is at least a gid, an address count and one address.
+    let mut ranges = Vec::with_capacity(r.capacity_for(nranges, 11));
     let mut prev_lo = 0u32;
     for _ in 0..nranges {
         let lo_gid = r.u32()?;
@@ -322,7 +323,7 @@ pub(crate) fn encode_transfer_batch(records: &[(u32, Vec<u8>)]) -> Vec<u8> {
 pub(crate) fn decode_transfer_batch(payload: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, TaintMapError> {
     let mut r = PayloadReader::new(payload);
     let count = r.u32()? as usize;
-    let mut records = Vec::with_capacity(count.min(payload.len() / 8 + 1));
+    let mut records = Vec::with_capacity(r.capacity_for(count, 8));
     for _ in 0..count {
         let gid = r.u32()?;
         let len = r.u32()? as usize;
@@ -332,14 +333,6 @@ pub(crate) fn decode_transfer_batch(payload: &[u8]) -> Result<Vec<(u32, Vec<u8>)
         return Err(TaintMapError::Protocol("trailing bytes in transfer batch"));
     }
     Ok(records)
-}
-
-/// Prefixes a batch payload with the client's class-table epoch stamp.
-pub(crate) fn stamp_epoch(epoch: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&epoch.to_be_bytes());
-    out.extend_from_slice(payload);
-    out
 }
 
 /// Splits an epoch-stamped batch payload into `(epoch, rest)`.
@@ -391,7 +384,7 @@ mod tests {
         });
         // Announce a 64-byte frame, then drip it far too slowly: every
         // inter-byte gap is below the deadline, but the total is not.
-        c.write(&[OP_REGISTER]).unwrap();
+        c.write(&[OP_REGISTER_BATCH_E]).unwrap();
         c.write(&64u32.to_be_bytes()).unwrap();
         for b in 0..20u8 {
             std::thread::sleep(std::time::Duration::from_millis(15));
@@ -413,9 +406,9 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let (c, s) = pair();
-        write_frame(&c, OP_REGISTER, b"payload").unwrap();
+        write_frame(&c, OP_REGISTER_BATCH_E, b"payload").unwrap();
         let (op, payload) = read_frame(&s).unwrap().unwrap();
-        assert_eq!(op, OP_REGISTER);
+        assert_eq!(op, OP_REGISTER_BATCH_E);
         assert_eq!(payload, b"payload");
     }
 
@@ -439,28 +432,32 @@ mod tests {
     fn eof_mid_frame_is_error() {
         let (c, s) = pair();
         // one byte of a 5-byte header, then close
-        c.write(&[OP_LOOKUP]).unwrap();
+        c.write(&[OP_LOOKUP_BATCH_E]).unwrap();
         c.close();
         assert!(read_frame(&s).is_err());
     }
 
     #[test]
     fn register_batch_payload_roundtrip() {
-        let items = vec![b"alpha".to_vec(), Vec::new(), b"b".to_vec()];
-        let payload = encode_register_batch(&items);
-        let mut r = PayloadReader::new(&payload);
+        let items: [&[u8]; 3] = [b"alpha", b"", b"b"];
+        let payload = encode_register_batch(5, &items);
+        let (epoch, rest) = unstamp_epoch(&payload).unwrap();
+        assert_eq!(epoch, 5);
+        let mut r = PayloadReader::new(rest);
         assert_eq!(r.u32().unwrap(), 3);
         for item in &items {
             let len = r.u32().unwrap() as usize;
-            assert_eq!(r.bytes(len).unwrap(), &item[..]);
+            assert_eq!(r.bytes(len).unwrap(), *item);
         }
         assert!(r.at_end());
     }
 
     #[test]
     fn lookup_batch_payload_roundtrip() {
-        let payload = encode_lookup_batch(&[7, 0, 42]);
-        let mut r = PayloadReader::new(&payload);
+        let payload = encode_lookup_batch(9, &[7, 0, 42]);
+        let (epoch, rest) = unstamp_epoch(&payload).unwrap();
+        assert_eq!(epoch, 9);
+        let mut r = PayloadReader::new(rest);
         assert_eq!(r.u32().unwrap(), 3);
         assert_eq!(r.u32().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0);
@@ -489,13 +486,23 @@ mod tests {
         let payload = encode_class_table(&table);
         assert_eq!(decode_class_table(&payload).unwrap(), table);
         // Empty table, unordered ranges and trailing bytes are rejected.
-        assert!(decode_class_table(&stamp_epoch(0, &0u32.to_be_bytes())).is_err());
+        assert!(decode_class_table(&[0u8; 12]).is_err());
         let mut trailing = payload.clone();
         trailing.push(0);
         assert!(decode_class_table(&trailing).is_err());
         let mut unordered = table.clone();
         unordered.ranges.swap(0, 1);
         assert!(decode_class_table(&encode_class_table(&unordered)).is_err());
+    }
+
+    #[test]
+    fn forged_range_count_is_an_error_not_an_abort() {
+        // Epoch, then nranges = u32::MAX with no ranges behind it: sizing
+        // the range vector from the count alone would request ~137 GB.
+        let mut payload = 1u64.to_be_bytes().to_vec();
+        payload.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(payload.len(), 12);
+        assert!(decode_class_table(&payload).is_err());
     }
 
     #[test]
@@ -508,10 +515,10 @@ mod tests {
 
     #[test]
     fn epoch_stamp_roundtrip() {
-        let stamped = stamp_epoch(7, b"rest");
+        let stamped = encode_lookup_batch(7, &[]);
         let (epoch, rest) = unstamp_epoch(&stamped).unwrap();
         assert_eq!(epoch, 7);
-        assert_eq!(rest, b"rest");
+        assert_eq!(rest, 0u32.to_be_bytes());
         assert!(unstamp_epoch(&stamped[..7]).is_err());
         assert_eq!(decode_stale_epoch(&9u64.to_be_bytes()).unwrap(), 9);
         assert!(decode_stale_epoch(b"short").is_err());

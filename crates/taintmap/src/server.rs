@@ -32,8 +32,7 @@ use crate::backend::TaintMapBackend;
 use crate::error::TaintMapError;
 use crate::proto::{
     decode_transfer_batch, encode_class_table, encode_transfer_batch, read_frame, unstamp_epoch,
-    write_frame, PayloadReader, ERR_UNKNOWN_GID, OP_EPOCH_OF, OP_LOOKUP, OP_LOOKUP_BATCH,
-    OP_LOOKUP_BATCH_E, OP_REGISTER, OP_REGISTER_BATCH, OP_REGISTER_BATCH_E, OP_REPLICATE,
+    write_frame, PayloadReader, OP_EPOCH_OF, OP_LOOKUP_BATCH_E, OP_REGISTER_BATCH_E, OP_REPLICATE,
     OP_SHUTDOWN, OP_TRANSFER_BATCH, RESP_ERR, RESP_MOVED, RESP_OK, RESP_STALE_EPOCH, STATUS_OK,
     STATUS_UNKNOWN,
 };
@@ -257,7 +256,7 @@ impl TaintMapWal {
         let mut r = PayloadReader::new(body);
         let epoch = u64::from(r.u32().ok()?) << 32 | u64::from(r.u32().ok()?);
         let nmoved = r.u32().ok()? as usize;
-        let mut moved = Vec::with_capacity(nmoved);
+        let mut moved = Vec::with_capacity(r.capacity_for(nmoved, 10));
         for _ in 0..nmoved {
             let lo_gid = r.u32().ok()?;
             let ip = r.bytes(4).ok()?.to_vec();
@@ -268,7 +267,7 @@ impl TaintMapWal {
             });
         }
         let count = r.u32().ok()? as usize;
-        let mut records = Vec::with_capacity(count);
+        let mut records = Vec::with_capacity(r.capacity_for(count, 8));
         for _ in 0..count {
             let gid = r.u32().ok()?;
             let len = r.u32().ok()? as usize;
@@ -900,6 +899,14 @@ impl TaintMapServer {
         self.shared.epoch.load(Ordering::Relaxed)
     }
 
+    /// Rewinds only the epoch that stamps are checked against, leaving
+    /// the table and moved ranges current: a server that missed a table
+    /// update, which accepts stamps ahead of it (see `check_epoch`).
+    #[cfg(test)]
+    pub(crate) fn rewind_epoch(&self, epoch: u64) {
+        self.shared.epoch.store(epoch, Ordering::Relaxed);
+    }
+
     /// True once the `crash_after_registers` chaos knob fired.
     pub fn has_crashed(&self) -> bool {
         self.shared.crash_now.load(Ordering::Relaxed)
@@ -964,29 +971,6 @@ fn serve_connection(conn: TcpEndpoint, shared: Arc<ServerShared>) {
             std::thread::sleep(shared.config.service_delay);
         }
         let (resp_op, resp) = match frame {
-            (OP_REGISTER, serialized) => match shared.register_one(&serialized) {
-                Some(gid) => (RESP_OK, gid.to_be_bytes().to_vec()),
-                None => (RESP_MOVED, shared.moved_payload()),
-            },
-            (OP_LOOKUP, payload) if payload.len() == 4 => {
-                let id = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
-                if id != 0 && shared.gid_moved(id) {
-                    (RESP_MOVED, shared.moved_payload())
-                } else {
-                    match shared.lookup_one(id) {
-                        Some(bytes) => (RESP_OK, bytes),
-                        None => (RESP_ERR, vec![ERR_UNKNOWN_GID]),
-                    }
-                }
-            }
-            (OP_REGISTER_BATCH, payload) => {
-                shared.batch_frames.fetch_add(1, Ordering::Relaxed);
-                serve_register_batch(&shared, &payload)
-            }
-            (OP_LOOKUP_BATCH, payload) => {
-                shared.batch_frames.fetch_add(1, Ordering::Relaxed);
-                serve_lookup_batch(&shared, &payload)
-            }
             (OP_REGISTER_BATCH_E, payload) => {
                 shared.batch_frames.fetch_add(1, Ordering::Relaxed);
                 match check_epoch(&shared, &payload) {
@@ -1064,7 +1048,7 @@ fn serve_register_batch(shared: &ServerShared, payload: &[u8]) -> (u8, Vec<u8>) 
     fn inner(shared: &ServerShared, payload: &[u8]) -> Option<(u8, Vec<u8>)> {
         let mut r = PayloadReader::new(payload);
         let count = r.u32().ok()? as usize;
-        let mut resp = Vec::with_capacity(4 + 4 * count);
+        let mut resp = Vec::with_capacity(4 + 4 * r.capacity_for(count, 4));
         resp.extend_from_slice(&(count as u32).to_be_bytes());
         for _ in 0..count {
             let len = r.u32().ok()? as usize;
@@ -1087,7 +1071,7 @@ fn serve_lookup_batch(shared: &ServerShared, payload: &[u8]) -> (u8, Vec<u8>) {
     fn inner(shared: &ServerShared, payload: &[u8]) -> Option<(u8, Vec<u8>)> {
         let mut r = PayloadReader::new(payload);
         let count = r.u32().ok()? as usize;
-        let mut resp = Vec::with_capacity(4 + 5 * count);
+        let mut resp = Vec::with_capacity(4 + 5 * r.capacity_for(count, 4));
         resp.extend_from_slice(&(count as u32).to_be_bytes());
         for _ in 0..count {
             let gid = r.u32().ok()?;
@@ -1151,7 +1135,8 @@ mod tests {
     use super::*;
     use crate::backend::InMemoryBackend;
     use crate::proto::{
-        encode_lookup_batch, encode_register_batch, read_frame as rf, write_frame as wf,
+        decode_lookup_batch_resp, decode_register_batch_resp, encode_lookup_batch,
+        encode_register_batch, read_frame as rf, write_frame as wf,
     };
 
     fn launch(net: &SimNet, addr: NodeAddr) -> TaintMapServer {
@@ -1172,17 +1157,28 @@ mod tests {
         (net, server)
     }
 
+    /// Registers `items` in one stamped frame and returns their gids.
+    fn register(conn: &TcpEndpoint, items: &[&[u8]]) -> Vec<u32> {
+        wf(conn, OP_REGISTER_BATCH_E, &encode_register_batch(0, items)).unwrap();
+        let (op, resp) = rf(conn).unwrap().unwrap();
+        assert_eq!(op, RESP_OK);
+        decode_register_batch_resp(&resp, items.len()).unwrap()
+    }
+
+    /// Looks `gids` up in one stamped frame; `None` marks an unknown id.
+    fn lookup(conn: &TcpEndpoint, gids: &[u32]) -> Vec<Option<Vec<u8>>> {
+        wf(conn, OP_LOOKUP_BATCH_E, &encode_lookup_batch(0, gids)).unwrap();
+        let (op, resp) = rf(conn).unwrap().unwrap();
+        assert_eq!(op, RESP_OK);
+        decode_lookup_batch_resp(&resp, gids.len()).unwrap()
+    }
+
     #[test]
     fn register_assigns_sequential_ids() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"taint-A").unwrap();
-        let (op, id) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        assert_eq!(id, 1u32.to_be_bytes());
-        wf(&conn, OP_REGISTER, b"taint-B").unwrap();
-        let (_, id) = rf(&conn).unwrap().unwrap();
-        assert_eq!(id, 2u32.to_be_bytes());
+        assert_eq!(register(&conn, &[b"taint-A"]), vec![1]);
+        assert_eq!(register(&conn, &[b"taint-B"]), vec![2]);
         server.shutdown();
     }
 
@@ -1190,10 +1186,8 @@ mod tests {
     fn duplicate_register_dedups() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"same").unwrap();
-        let (_, first) = rf(&conn).unwrap().unwrap();
-        wf(&conn, OP_REGISTER, b"same").unwrap();
-        let (_, second) = rf(&conn).unwrap().unwrap();
+        let first = register(&conn, &[b"same"]);
+        let second = register(&conn, &[b"same"]);
         assert_eq!(first, second);
         assert_eq!(server.stats().global_taints, 1);
         assert_eq!(server.stats().register_requests, 2);
@@ -1204,28 +1198,19 @@ mod tests {
     fn lookup_returns_registered_bytes() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"payload").unwrap();
-        let (_, id) = rf(&conn).unwrap().unwrap();
-        wf(&conn, OP_LOOKUP, &id).unwrap();
-        let (op, bytes) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        assert_eq!(bytes, b"payload");
+        let id = register(&conn, &[b"payload"]);
+        assert_eq!(lookup(&conn, &id), vec![Some(b"payload".to_vec())]);
         assert_eq!(server.stats().lookup_requests, 1);
         server.shutdown();
     }
 
     #[test]
-    fn lookup_unknown_id_errors() {
+    fn lookup_unknown_id_never_resolves() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(&conn, OP_LOOKUP, &99u32.to_be_bytes()).unwrap();
-        let (op, reason) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_ERR);
-        assert_eq!(reason, vec![ERR_UNKNOWN_GID]);
+        assert_eq!(lookup(&conn, &[99]), vec![None]);
         // id 0 is reserved and never resolvable
-        wf(&conn, OP_LOOKUP, &0u32.to_be_bytes()).unwrap();
-        let (op, _) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_ERR);
+        assert_eq!(lookup(&conn, &[0]), vec![None]);
         server.shutdown();
     }
 
@@ -1233,11 +1218,7 @@ mod tests {
     fn register_batch_dedups_and_counts_items() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        let items = vec![b"a".to_vec(), b"b".to_vec(), b"a".to_vec()];
-        wf(&conn, OP_REGISTER_BATCH, &encode_register_batch(&items)).unwrap();
-        let (op, resp) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        let gids = crate::proto::decode_register_batch_resp(&resp, 3).unwrap();
+        let gids = register(&conn, &[b"a", b"b", b"a"]);
         assert_eq!(gids[0], gids[2], "duplicate item in one batch dedups");
         assert_ne!(gids[0], gids[1]);
         let stats = server.stats();
@@ -1251,18 +1232,8 @@ mod tests {
     fn lookup_batch_reports_unknown_ids_per_item() {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(
-            &conn,
-            OP_REGISTER_BATCH,
-            &encode_register_batch(&[b"x".to_vec()]),
-        )
-        .unwrap();
-        let (_, resp) = rf(&conn).unwrap().unwrap();
-        let gid = crate::proto::decode_register_batch_resp(&resp, 1).unwrap()[0];
-        wf(&conn, OP_LOOKUP_BATCH, &encode_lookup_batch(&[gid, 999, 0])).unwrap();
-        let (op, resp) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        let items = crate::proto::decode_lookup_batch_resp(&resp, 3).unwrap();
+        let gid = register(&conn, &[b"x"])[0];
+        let items = lookup(&conn, &[gid, 999, 0]);
         assert_eq!(items[0].as_deref(), Some(b"x".as_ref()));
         assert_eq!(items[1], None);
         assert_eq!(items[2], None, "gid 0 is reserved");
@@ -1274,9 +1245,55 @@ mod tests {
         let (net, server) = setup();
         let conn = net.tcp_connect(server.addr()).unwrap();
         // Claims 2 items but carries none.
-        wf(&conn, OP_REGISTER_BATCH, &2u32.to_be_bytes()).unwrap();
+        let mut claim = encode_register_batch(0, &[]);
+        claim[8..].copy_from_slice(&2u32.to_be_bytes());
+        wf(&conn, OP_REGISTER_BATCH_E, &claim).unwrap();
         let (op, _) = rf(&conn).unwrap().unwrap();
         assert_eq!(op, RESP_ERR);
+        server.shutdown();
+    }
+
+    #[test]
+    fn forged_item_counts_get_err_without_reserving_them() {
+        // u32::MAX items announced, none carried: the server must answer
+        // `ERR`, not size its response from the count.
+        let (net, server) = setup();
+        let conn = net.tcp_connect(server.addr()).unwrap();
+        for op in [OP_REGISTER_BATCH_E, OP_LOOKUP_BATCH_E] {
+            let mut forged = encode_lookup_batch(0, &[]);
+            forged[8..].copy_from_slice(&u32::MAX.to_be_bytes());
+            wf(&conn, op, &forged).unwrap();
+            let (resp_op, _) = rf(&conn).unwrap().unwrap();
+            assert_eq!(resp_op, RESP_ERR, "op {op}");
+        }
+        assert_eq!(register(&conn, &[b"still-serving"]), vec![1]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn retired_ops_get_err_and_the_connection_keeps_serving() {
+        // Ops 1/2 (single-item register/lookup) and 5/6 (unstamped
+        // batches) are gone: each is answered like any unknown op.
+        let (net, server) = setup();
+        let conn = net.tcp_connect(server.addr()).unwrap();
+        let gid = register(&conn, &[b"kept"])[0];
+        for (op, payload) in [
+            (1u8, b"taint".to_vec()),
+            (2, gid.to_be_bytes().to_vec()),
+            (5, encode_register_batch(0, &[b"x"])[8..].to_vec()),
+            (6, encode_lookup_batch(0, &[gid])[8..].to_vec()),
+        ] {
+            wf(&conn, op, &payload).unwrap();
+            let (resp_op, reason) = rf(&conn).unwrap().unwrap();
+            assert_eq!(resp_op, RESP_ERR, "op {op}");
+            assert_eq!(reason, vec![0xFF], "op {op}");
+        }
+        assert_eq!(lookup(&conn, &[gid]), vec![Some(b"kept".to_vec())]);
+        assert_eq!(
+            server.stats().global_taints,
+            1,
+            "retired ops committed nothing"
+        );
         server.shutdown();
     }
 
@@ -1293,16 +1310,18 @@ mod tests {
         )
         .unwrap();
         let conn = net.tcp_connect(server.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"first").unwrap();
-        let (_, id) = rf(&conn).unwrap().unwrap();
-        assert_eq!(id, 3u32.to_be_bytes(), "shard 2 of 4 starts at gid 3");
-        wf(&conn, OP_REGISTER, b"second").unwrap();
-        let (_, id) = rf(&conn).unwrap().unwrap();
-        assert_eq!(id, 7u32.to_be_bytes(), "and strides by the shard count");
+        assert_eq!(
+            register(&conn, &[b"first"]),
+            vec![3],
+            "shard 2 of 4 starts at gid 3"
+        );
+        assert_eq!(
+            register(&conn, &[b"second"]),
+            vec![7],
+            "and strides by the shard count"
+        );
         // A gid owned by another shard is unknown here.
-        wf(&conn, OP_LOOKUP, &4u32.to_be_bytes()).unwrap();
-        let (op, _) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_ERR);
+        assert_eq!(lookup(&conn, &[4]), vec![None]);
         server.shutdown();
     }
 
@@ -1315,10 +1334,7 @@ mod tests {
             let addr = server.addr();
             handles.push(std::thread::spawn(move || {
                 let conn = net.tcp_connect(addr).unwrap();
-                wf(&conn, OP_REGISTER, format!("taint-{i}").as_bytes()).unwrap();
-                let (op, id) = rf(&conn).unwrap().unwrap();
-                assert_eq!(op, RESP_OK);
-                u32::from_be_bytes([id[0], id[1], id[2], id[3]])
+                register(&conn, &[format!("taint-{i}").as_bytes()])[0]
             }));
         }
         let mut ids: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -1345,20 +1361,18 @@ mod tests {
         primary.replicate_to(standby.addr()).unwrap();
 
         let conn = net.tcp_connect(primary.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"replicated-taint").unwrap();
-        let (_, id) = rf(&conn).unwrap().unwrap();
+        let id = register(&conn, &[b"replicated-taint"]);
 
         // The standby can serve the lookup itself.
         let sconn = net.tcp_connect(standby.addr()).unwrap();
-        wf(&sconn, OP_LOOKUP, &id).unwrap();
-        let (op, bytes) = rf(&sconn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        assert_eq!(bytes, b"replicated-taint");
+        assert_eq!(
+            lookup(&sconn, &id),
+            vec![Some(b"replicated-taint".to_vec())]
+        );
 
         // And its own fresh ids never collide with replicated ones.
-        wf(&sconn, OP_REGISTER, b"standby-local").unwrap();
-        let (_, sid) = rf(&sconn).unwrap().unwrap();
-        assert!(u32::from_be_bytes([sid[0], sid[1], sid[2], sid[3]]) > 1);
+        let sid = register(&sconn, &[b"standby-local"]);
+        assert!(sid[0] > 1);
         primary.shutdown();
         standby.shutdown();
     }
@@ -1379,10 +1393,8 @@ mod tests {
         )
         .unwrap();
         let conn = net.tcp_connect(addr).unwrap();
-        wf(&conn, OP_REGISTER, b"persisted-A").unwrap();
-        let (_, id_a) = rf(&conn).unwrap().unwrap();
-        wf(&conn, OP_REGISTER, b"persisted-B").unwrap();
-        let (_, _id_b) = rf(&conn).unwrap().unwrap();
+        let id_a = register(&conn, &[b"persisted-A"]);
+        register(&conn, &[b"persisted-B"]);
         server.shutdown();
 
         // A fresh backend + the same WAL recovers both registrations and
@@ -1398,13 +1410,63 @@ mod tests {
         .unwrap();
         assert_eq!(reborn.replayed(), 2);
         let conn = net.tcp_connect(addr).unwrap();
-        wf(&conn, OP_LOOKUP, &id_a).unwrap();
-        let (op, bytes) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK);
-        assert_eq!(bytes, b"persisted-A");
-        wf(&conn, OP_REGISTER, b"persisted-C").unwrap();
-        let (_, id_c) = rf(&conn).unwrap().unwrap();
-        assert_eq!(id_c, 3u32.to_be_bytes(), "allocator resumed past replay");
+        assert_eq!(lookup(&conn, &id_a), vec![Some(b"persisted-A".to_vec())]);
+        assert_eq!(
+            register(&conn, &[b"persisted-C"]),
+            vec![3],
+            "allocator resumed past replay"
+        );
+        reborn.shutdown();
+    }
+
+    #[test]
+    fn snapshot_with_forged_record_count_is_torn() {
+        // Magic and trailer intact, but the record count claims u32::MAX
+        // entries: recovery must treat the snapshot as torn and fall back
+        // a generation, not try to reserve the count.
+        let net = SimNet::new();
+        let fs = SimFs::new();
+        let wal = TaintMapWal::new(fs.clone(), "taintmap/shard-0.wal");
+        let addr = NodeAddr::new([10, 0, 0, 99], 7777);
+        let relaunch = || {
+            TaintMapServer::launch(
+                &net,
+                addr,
+                TaintMapConfig::default(),
+                Arc::new(InMemoryBackend::new()),
+                ShardSpec::default(),
+                Some(wal.clone()),
+            )
+            .unwrap()
+        };
+        let server = relaunch();
+        let conn = net.tcp_connect(addr).unwrap();
+        register(&conn, &[b"snap-A", b"snap-B"]);
+        assert_eq!(server.compact().unwrap(), 2);
+        register(&conn, &[b"tail-C"]);
+        server.shutdown();
+
+        let mut forged = SNAP_MAGIC.to_vec();
+        forged.extend_from_slice(&0u64.to_be_bytes()); // epoch
+        forged.extend_from_slice(&0u32.to_be_bytes()); // no moved ranges
+        forged.extend_from_slice(&u32::MAX.to_be_bytes()); // record count
+        forged.extend_from_slice(&SNAP_TRAILER);
+        fs.write(wal.snap_path(2), forged);
+
+        let reborn = relaunch();
+        let rec = reborn.recovery();
+        assert_eq!(rec.torn_snapshots, 1);
+        assert_eq!(rec.snapshot_records, 2, "generation 1 restored");
+        assert_eq!(rec.wal_data_records, 1, "plus the log tail");
+        let conn = net.tcp_connect(addr).unwrap();
+        assert_eq!(
+            lookup(&conn, &[1, 2, 3]),
+            vec![
+                Some(b"snap-A".to_vec()),
+                Some(b"snap-B".to_vec()),
+                Some(b"tail-C".to_vec())
+            ]
+        );
         reborn.shutdown();
     }
 
@@ -1429,8 +1491,13 @@ mod tests {
         let conn = net.tcp_connect(addr).unwrap();
         // A 3-item batch crosses the threshold mid-frame: all three are
         // registered (and WAL'd) but no response ever arrives.
-        let items = vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()];
-        wf(&conn, OP_REGISTER_BATCH, &encode_register_batch(&items)).unwrap();
+        let items: [&[u8]; 3] = [b"a", b"b", b"c"];
+        wf(
+            &conn,
+            OP_REGISTER_BATCH_E,
+            &encode_register_batch(0, &items),
+        )
+        .unwrap();
         let reply = rf(&conn);
         assert!(
             matches!(reply, Ok(None) | Err(_)),
@@ -1461,9 +1528,8 @@ mod tests {
         primary.replicate_to(standby.addr()).unwrap();
         standby.shutdown();
         let conn = net.tcp_connect(primary.addr()).unwrap();
-        wf(&conn, OP_REGISTER, b"after-standby-death").unwrap();
-        let (op, _) = rf(&conn).unwrap().unwrap();
-        assert_eq!(op, RESP_OK, "primary keeps serving");
+        // `register` asserts the primary answered `OK`: it keeps serving.
+        register(&conn, &[b"after-standby-death"]);
         primary.shutdown();
     }
 }

@@ -2,7 +2,7 @@
 //! schedule, a delivered lookup result is either the correct taint or a
 //! `pending-gid` sentinel that resolves to the correct taint after the
 //! partition heals — never silently clean, never silently wrong. And a
-//! primary crashed mid-`REGISTER_BATCH` loses nothing: every committed
+//! primary crashed mid-`REGISTER_BATCH_E` loses nothing: every committed
 //! registration replays from the write-ahead snapshot.
 
 use std::collections::HashMap;

@@ -153,12 +153,47 @@ fn replication_stays_per_shard() {
 }
 
 #[test]
+fn a_dead_shard_leaves_no_unread_reply_on_a_live_one() {
+    // A lookup spanning a live and a dead shard fails, but the live
+    // shard's reply must still be read off its kept-open connection:
+    // otherwise the next request there reads the stale reply and
+    // resolves to the wrong taint.
+    let net = SimNet::new();
+    let mut endpoint = TaintMapEndpoint::builder().shards(2).connect(&net).unwrap();
+    let store1 = store(1);
+    let writer = endpoint.client(&net, store1.clone()).unwrap();
+    let taints: Vec<Taint> = (0..16)
+        .map(|i| store1.mint_source_taint(TagValue::Int(i)))
+        .collect();
+    let gids = writer.global_ids_for(&taints).unwrap();
+    let on_shard = |class: u32| {
+        gids.iter()
+            .enumerate()
+            .filter(move |(_, g)| (g.0 - 1) % 2 == class)
+    };
+    let mut live = on_shard(0);
+    let (_, &first) = live.next().unwrap();
+    let (second_idx, &second) = live.next().unwrap();
+    let (_, &dead) = on_shard(1).next().unwrap();
+
+    let store2 = store(2);
+    let reader = endpoint.client(&net, store2.clone()).unwrap();
+    endpoint.crash_primary(1);
+    assert!(reader.taints_for(&[first, dead]).is_err());
+    let got = reader.taints_for(&[second]).unwrap();
+    assert_eq!(store2.tag_values(got[0]), vec![second_idx.to_string()]);
+    endpoint.shutdown();
+}
+
+#[test]
 fn moved_redirects_converge_without_tripping_the_breaker() {
-    // A client whose shard map predates a split keeps operating: the old
-    // owner answers `Moved`/`StaleEpoch` redirects, the client adopts
-    // the new table and retries — and the breaker counts those
+    // A client whose shard map predates a split keeps operating: the
+    // servers answer its stale epoch stamp with `StaleEpoch`, the client
+    // refetches the new table and retries — and the breaker counts those
     // well-formed redirects as successes, never as failures. A redirect
-    // storm must not open a healthy shard's circuit.
+    // storm must not open a healthy shard's circuit. (`Moved` on a
+    // stamped frame needs a server that missed a table update; the
+    // client's unit tests cover it.)
     let net = SimNet::new();
     let mut endpoint = TaintMapEndpoint::builder().shards(2).connect(&net).unwrap();
     let store1 = store(1);
@@ -178,8 +213,9 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
     endpoint.split_shard(0).unwrap();
     endpoint.split_shard(1).unwrap();
 
-    // Unbatched lookup of a migrated gid lands on the old owner, which
-    // answers `Moved` with the new table; the retry hits the new tail.
+    // A single-item lookup of a migrated gid is a batch of one stamped
+    // with epoch 0: the old owner rejects it as stale, the client
+    // refetches the table, and the retry hits the new tail.
     let top = *gids.iter().max_by_key(|g| g.0).unwrap();
     let idx = gids.iter().position(|g| *g == top).unwrap();
     let t = unbatched.taint_for(top).unwrap();
@@ -192,17 +228,17 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
         assert_eq!(store3.tag_values(t), vec![i.to_string()]);
     }
 
-    let moved = unbatched.stats();
+    let single = unbatched.stats();
     assert!(
-        moved.moved_redirects >= 1,
-        "the old owner redirected: {moved:?}"
+        single.epoch_refetches >= 1,
+        "the old owner rejected the stale stamp: {single:?}"
     );
     let stale = batched.stats();
     assert!(
         stale.epoch_refetches >= 1,
         "the stale epoch stamp forced a table refetch: {stale:?}"
     );
-    for stats in [moved, stale] {
+    for stats in [single, stale] {
         assert_eq!(
             stats.breaker_opens, 0,
             "redirects are successes, not breaker failures"
@@ -214,8 +250,9 @@ fn moved_redirects_converge_without_tripping_the_breaker() {
 
 #[test]
 fn unbatched_and_batched_paths_agree() {
-    // The old single-item opcodes remain live (they are the measured
-    // baseline); both protocol paths must hand out consistent ids.
+    // A single-item call is a batch of one on the same op as a batch
+    // (the measured unbatched baseline); both call shapes must hand out
+    // consistent ids.
     let net = SimNet::new();
     let endpoint = TaintMapEndpoint::builder().shards(4).connect(&net).unwrap();
     let store1 = store(1);
@@ -223,7 +260,7 @@ fn unbatched_and_batched_paths_agree() {
 
     let a = store1.mint_source_taint(TagValue::str("a"));
     let b = store1.mint_source_taint(TagValue::str("b"));
-    let gid_a = client.global_id_for(a).unwrap(); // unbatched
+    let gid_a = client.global_id_for(a).unwrap(); // batch of one
 
     let store2 = store(2);
     let fresh_client = endpoint.client(&net, store2.clone()).unwrap();
@@ -235,7 +272,10 @@ fn unbatched_and_batched_paths_agree() {
         fresh_client.taint_for(gid_b).unwrap()
     };
     let re = fresh_client.global_ids_for(&[a2, b2]).unwrap();
-    assert_eq!(re[0], gid_a, "batched re-register dedups with unbatched");
+    assert_eq!(
+        re[0], gid_a,
+        "batched re-register dedups with a batch of one"
+    );
     assert_eq!(endpoint.stats().global_taints, 2);
     endpoint.shutdown();
 }

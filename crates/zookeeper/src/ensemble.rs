@@ -8,7 +8,7 @@ use dista_simnet::NodeAddr;
 use parking_lot::Mutex;
 
 use crate::election::{run_election, ElectionOutcome, PeerConfig};
-use crate::server::{Role, ServerCore, ZkClient, ZkServerHandle};
+use crate::server::{Role, ServerCore, ZkClient, ZkServerHandle, ATTACH_ACK};
 
 /// Ensemble configuration.
 #[derive(Debug, Clone)]
@@ -96,10 +96,16 @@ impl ZkEnsemble {
 
             // Commit channel: announce ourselves on a fresh session; the
             // leader turns it into a broadcast sink, we apply commits.
+            // Wait for its ack so no commit broadcast after `start`
+            // returns can miss this follower.
             let attach = Socket::connect(vm, leader_addr)?;
             ObjectOutputStream::new(attach.output_stream())
                 .write_object(&ObjValue::Record("FollowerAttach".into(), vec![]))?;
-            handle.run_commit_loop(ObjectInputStream::new(attach.input_stream()));
+            let commits = ObjectInputStream::new(attach.input_stream());
+            if commits.read_object()?.class_name() != Some(ATTACH_ACK) {
+                return Err(JreError::Protocol("leader did not acknowledge the attach"));
+            }
+            handle.run_commit_loop(commits);
 
             client_addrs.insert((i + 1) as i64, addr);
             servers.push(handle);

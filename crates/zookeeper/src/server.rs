@@ -54,6 +54,10 @@ impl From<JreError> for ZkError {
 /// One server's local data tree.
 pub(crate) type DataTree = Arc<RwLock<HashMap<String, TaintedBytes>>>;
 
+/// The leader's reply on a commit channel once the follower's sink is
+/// registered; [`crate::ZkEnsemble::start`] waits for it.
+pub(crate) const ATTACH_ACK: &str = "AttachAck";
+
 const STATUS_OK: i64 = 0;
 const STATUS_NO_NODE: i64 = 1;
 const STATUS_NODE_EXISTS: i64 = 2;
@@ -376,9 +380,19 @@ fn serve_session(socket: Socket, core: Arc<ServerCore>) {
     }
 }
 
+/// Registers a follower's commit sink, then acknowledges the attach on
+/// it. Both happen under the followers lock that every broadcast takes,
+/// so the ack precedes the first commit the follower receives and no
+/// commit after the ack can miss the sink.
 fn core_attach(core: &Arc<ServerCore>, sink: ObjectOutputStream<dista_jre::SocketOutputStream>) {
     if let Role::Leader { followers } = &core.role {
-        followers.lock().push(sink);
+        let mut followers = followers.lock();
+        if sink
+            .write_object(&ObjValue::Record(ATTACH_ACK.into(), vec![]))
+            .is_ok()
+        {
+            followers.push(sink);
+        }
     }
 }
 
